@@ -85,7 +85,10 @@ Result<Commitment, Refusal> ResourceCommitter::commit(const ClientMachine& clien
       return commitment;
     }
     last = result.error();
-    trace.annotate("refusal", last.describe() + (last.transient ? " [transient]" : " [permanent]"));
+    if (trace.active()) {
+      trace.annotate("refusal",
+                     last.describe() + (last.transient ? " [transient]" : " [permanent]"));
+    }
     if (last.transient) {
       ++stats.transient_failures;
     } else {

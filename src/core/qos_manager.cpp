@@ -31,7 +31,7 @@ CommitAttempt QoSManager::commit_first(const ClientMachine& client, OfferList& o
                                        std::size_t end_index) {
   CommitAttempt attempt;
   ScopedSpan walk_span(trace, Stage::kCommitWalk);
-  walk_span.annotate("class", std::string(to_string(session_class)));
+  if (walk_span.active()) walk_span.annotate("class", std::string(to_string(session_class)));
   std::unique_ptr<ResourceCommitter> owned_committer =
       config_.committer_factory != nullptr
           ? config_.committer_factory(config_.retry, session_class)

@@ -10,20 +10,29 @@ bool Topology::add_node(NodeId id, NodeKind kind) {
   if (index_.contains(id)) return false;
   index_[id] = nodes_.size();
   nodes_.push_back(NetNode{std::move(id), kind});
+  adjacency_.emplace_back();
   return true;
 }
 
 Result<std::size_t> Topology::add_link(const NodeId& a, const NodeId& b,
                                        std::int64_t capacity_bps, double delay_ms) {
-  if (!index_.contains(a)) return Err("unknown node '" + a + "'");
-  if (!index_.contains(b)) return Err("unknown node '" + b + "'");
-  if (a == b) return Err("self-link on '" + a + "'");
+  const auto ai = node_index(a);
+  const auto bi = node_index(b);
+  if (!ai) return Err("unknown node '" + a + "'");
+  if (!bi) return Err("unknown node '" + b + "'");
+  if (*ai == *bi) return Err("self-link on '" + a + "'");
   if (capacity_bps <= 0) return Err("non-positive capacity");
   const std::size_t link_index = links_.size();
   links_.push_back(NetLink{a, b, capacity_bps, delay_ms});
-  adjacency_[a].push_back({index_[b], link_index});
-  adjacency_[b].push_back({index_[a], link_index});
+  adjacency_[*ai].push_back({*bi, link_index});
+  adjacency_[*bi].push_back({*ai, link_index});
   return link_index;
+}
+
+std::optional<std::size_t> Topology::node_index(const NodeId& id) const {
+  auto it = index_.find(id);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::optional<NodeKind> Topology::node_kind(const NodeId& id) const {
@@ -58,9 +67,7 @@ Result<std::vector<std::size_t>> Topology::shortest_path(
     heap.pop();
     if (d > dist[u]) continue;
     if (u == di->second) break;
-    auto adj = adjacency_.find(nodes_[u].id);
-    if (adj == adjacency_.end()) continue;
-    for (const auto& [v, link_index] : adj->second) {
+    for (const auto& [v, link_index] : adjacency_[u]) {
       if (excluded(link_index)) continue;
       const double nd = d + links_[link_index].delay_ms;
       if (nd < dist[v]) {

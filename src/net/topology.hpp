@@ -41,6 +41,8 @@ class Topology {
                                double delay_ms = 1.0);
 
   bool has_node(const NodeId& id) const { return index_.contains(id); }
+  /// Position of a node in nodes(); nullopt for unknown ids.
+  std::optional<std::size_t> node_index(const NodeId& id) const;
   std::optional<NodeKind> node_kind(const NodeId& id) const;
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }
@@ -71,8 +73,9 @@ class Topology {
   std::vector<NetNode> nodes_;
   std::vector<NetLink> links_;
   std::unordered_map<NodeId, std::size_t> index_;
-  std::unordered_map<std::string, std::vector<std::pair<std::size_t, std::size_t>>> adjacency_;
-  // adjacency_: node id -> (neighbor node index, link index)
+  // adjacency_[node index] -> (neighbor node index, link index), in link
+  // insertion order (the order fixes Dijkstra's equal-delay tie-break).
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adjacency_;
 };
 
 }  // namespace qosnp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 #include "util/log.hpp"
 
@@ -17,65 +18,83 @@ TransportService::TransportService(Topology topology) : topology_(std::move(topo
   link_flow_count_.assign(topology_.link_count(), 0);
 }
 
+const TransportService::Route& TransportService::preferred_route_locked(std::size_t src,
+                                                                         std::size_t dst) {
+  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
+  auto it = routes_.find(key);
+  if (it == routes_.end()) {
+    const auto& nodes = topology_.nodes();
+    it = routes_.emplace(key, topology_.shortest_path(nodes[src].id, nodes[dst].id)).first;
+  }
+  return it->second;
+}
+
 Result<FlowId, Refusal> TransportService::reserve(const NodeId& src, const NodeId& dst,
                                                   const StreamRequirements& req) {
   const std::int64_t rate = req.guarantee == GuaranteeClass::kGuaranteed ? req.max_bit_rate_bps
                                                                          : req.avg_bit_rate_bps;
   if (rate <= 0) return permanent_refusal("transport", "non-positive bit rate");
+  const auto src_index = topology_.node_index(src);
+  const auto dst_index = topology_.node_index(dst);
+  if (!src_index || !dst_index) {
+    // Unknown nodes stay out of the route table; the error names the node.
+    return permanent_refusal("transport", topology_.shortest_path(src, dst).error());
+  }
 
   // Route with admission-aware retries: when a link on the preferred path
   // lacks capacity, exclude it and re-route — in a multi-path topology the
   // flow takes the standby path instead of being rejected.
   std::lock_guard lk(mu_);
+  const Route& preferred = preferred_route_locked(*src_index, *dst_index);
+  // No route at all is permanent; a route that exists but is full is a
+  // transient shortage.
+  if (!preferred.ok()) return permanent_refusal("transport", preferred.error());
+  std::span<const std::size_t> path = preferred.value();
+  std::vector<std::size_t> rerouted_path;  // a retry's route, never stored in routes_
   std::vector<std::size_t> excluded;
-  std::string last_error;
-  for (int attempt = 0; attempt <= kMaxRouteRetries; ++attempt) {
-    auto path = topology_.shortest_path(src, dst, excluded);
-    if (!path.ok()) {
-      // No route at all is permanent; a route that exists but is full
-      // (last_error from a previous attempt) is a transient shortage.
-      if (last_error.empty()) return permanent_refusal("transport", path.error());
-      return transient_refusal("transport", last_error);
-    }
-    // Headroom-differentiated admission: a class with headroom h only sees
-    // capacity * (1 - h) of each link (h <= 0 keeps the class-blind path
-    // free of any floating-point round-trip).
-    const double h = headroom_.for_class(req.session_class);
-    const std::size_t* bottleneck = nullptr;
-    for (const std::size_t& link : path.value()) {
+  // Headroom-differentiated admission: a class with headroom h only sees
+  // capacity * (1 - h) of each link (h <= 0 keeps the class-blind path
+  // free of any floating-point round-trip).
+  const double h = headroom_.for_class(req.session_class);
+  auto insufficient = [&](std::size_t link) {
+    return transient_refusal("transport", "insufficient bandwidth on link " +
+                                              std::to_string(link) + " (" +
+                                              topology_.link(link).a + "<->" +
+                                              topology_.link(link).b + ")");
+  };
+  for (int attempt = 0;; ++attempt) {
+    auto bottleneck = std::find_if(path.begin(), path.end(), [&](std::size_t link) {
       const std::int64_t usable =
           h <= 0.0 ? effective_capacity_[link]
                    : static_cast<std::int64_t>(std::llround(
                          static_cast<double>(effective_capacity_[link]) * (1.0 - h)));
-      if (reserved_[link] + rate > usable) {
-        bottleneck = &link;
-        break;
-      }
-    }
-    if (bottleneck != nullptr) {
-      last_error = "insufficient bandwidth on link " + std::to_string(*bottleneck) + " (" +
-                   topology_.link(*bottleneck).a + "<->" + topology_.link(*bottleneck).b + ")";
-      excluded.push_back(*bottleneck);
-      continue;
-    }
-    for (std::size_t link : path.value()) {
-      reserved_[link] += rate;
-      ++link_flow_count_[link];
-    }
-    FlowInfo info;
-    info.id = next_id_++;
-    info.src = src;
-    info.dst = dst;
-    info.path = std::move(path.value());
-    info.reserved_bps = rate;
-    info.guarantee = req.guarantee;
-    const FlowId id = info.id;
-    flows_[id] = std::move(info);
-    QOSNP_LOG_DEBUG("transport", "reserved flow ", id, " ", src, "->", dst, " at ", rate,
-                    " bps over ", flows_[id].path.size(), " links");
-    return id;
+      return reserved_[link] + rate > usable;
+    });
+    if (bottleneck == path.end()) break;
+    const std::size_t full_link = *bottleneck;
+    excluded.push_back(full_link);
+    if (attempt == kMaxRouteRetries) return insufficient(full_link);
+    auto rerouted = topology_.shortest_path(src, dst, excluded);
+    if (!rerouted.ok()) return insufficient(full_link);
+    rerouted_path = std::move(rerouted.value());
+    path = rerouted_path;
   }
-  return transient_refusal("transport", last_error);
+  for (std::size_t link : path) {
+    reserved_[link] += rate;
+    ++link_flow_count_[link];
+  }
+  FlowInfo info;
+  info.id = next_id_++;
+  info.src = src;
+  info.dst = dst;
+  info.path.assign(path.begin(), path.end());
+  info.reserved_bps = rate;
+  info.guarantee = req.guarantee;
+  const FlowId id = info.id;
+  flows_[id] = std::move(info);
+  QOSNP_LOG_DEBUG("transport", "reserved flow ", id, " ", src, "->", dst, " at ", rate,
+                  " bps over ", flows_[id].path.size(), " links");
+  return id;
 }
 
 bool TransportService::release(FlowId id) {

@@ -66,6 +66,8 @@ class TransportService final : public TransportProvider {
 
   /// Admit a flow from src to dst with the given requirements. Reserves the
   /// peak rate (guaranteed) or average rate (best-effort) on each path link.
+  /// The preferred path is the minimum-delay one, routed once per node pair
+  /// (see routes_); a full link triggers a fresh re-route around it.
   Result<FlowId, Refusal> reserve(const NodeId& src, const NodeId& dst,
                                   const StreamRequirements& req) override;
 
@@ -106,10 +108,19 @@ class TransportService final : public TransportProvider {
   void set_class_headroom(ClassHeadroom headroom);
 
  private:
+  using Route = Result<std::vector<std::size_t>>;
+
   std::vector<FlowId> overfull_victims_locked(std::size_t link_index);
+  const Route& preferred_route_locked(std::size_t src, std::size_t dst);
 
   mutable std::mutex mu_;
-  Topology topology_;
+  const Topology topology_;
+  // Route table: (src index << 32 | dst index) -> topology_.shortest_path
+  // with no exclusions, filled on a pair's first reservation. It never goes
+  // stale: the topology is immutable here, and degrade/restore_link change
+  // capacity, never the delays Dijkstra weighs. Routes found while excluding
+  // full links are never stored.
+  std::unordered_map<std::uint64_t, Route> routes_;  // guarded by mu_
   ClassHeadroom headroom_;                        // guarded by mu_
   std::vector<std::int64_t> reserved_;            // per link
   std::vector<std::int64_t> effective_capacity_;  // per link

@@ -41,7 +41,7 @@ ScopedLogTag::ScopedLogTag(std::string tag) : previous_(std::move(tls_tag())) {
 
 ScopedLogTag::~ScopedLogTag() { tls_tag() = std::move(previous_); }
 
-void Logger::write(LogLevel level, const std::string& component, const std::string& message) {
+void Logger::write(LogLevel level, std::string_view component, const std::string& message) {
   // Compose the whole line first so the locked section is one insertion:
   // concurrent workers can never interleave mid-line.
   std::string line;

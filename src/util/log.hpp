@@ -10,6 +10,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace qosnp {
 
@@ -23,7 +24,7 @@ class Logger {
   LogLevel level() const { return level_.load(std::memory_order_relaxed); }
   bool enabled(LogLevel level) const { return level >= this->level(); }
 
-  void write(LogLevel level, const std::string& component, const std::string& message);
+  void write(LogLevel level, std::string_view component, const std::string& message);
 
  private:
   Logger() = default;
@@ -59,7 +60,7 @@ void log_format(std::ostringstream& os, const T& v, const Rest&... rest) {
 }  // namespace detail
 
 template <typename... Args>
-void log_at(LogLevel level, const std::string& component, const Args&... args) {
+void log_at(LogLevel level, std::string_view component, const Args&... args) {
   Logger& lg = Logger::instance();
   if (!lg.enabled(level)) return;
   std::ostringstream os;
@@ -67,10 +68,18 @@ void log_at(LogLevel level, const std::string& component, const Args&... args) {
   lg.write(level, component, os.str());
 }
 
-#define QOSNP_LOG_TRACE(component, ...) ::qosnp::log_at(::qosnp::LogLevel::kTrace, component, __VA_ARGS__)
-#define QOSNP_LOG_DEBUG(component, ...) ::qosnp::log_at(::qosnp::LogLevel::kDebug, component, __VA_ARGS__)
-#define QOSNP_LOG_INFO(component, ...) ::qosnp::log_at(::qosnp::LogLevel::kInfo, component, __VA_ARGS__)
-#define QOSNP_LOG_WARN(component, ...) ::qosnp::log_at(::qosnp::LogLevel::kWarn, component, __VA_ARGS__)
-#define QOSNP_LOG_ERROR(component, ...) ::qosnp::log_at(::qosnp::LogLevel::kError, component, __VA_ARGS__)
+// The macros check the level before evaluating their arguments, so a
+// disabled line formats nothing (no describe() calls, no temporaries).
+#define QOSNP_LOG_AT(level, component, ...)                            \
+  do {                                                                 \
+    if (::qosnp::Logger::instance().enabled(level)) {                  \
+      ::qosnp::log_at(level, component, __VA_ARGS__);                  \
+    }                                                                  \
+  } while (false)
+#define QOSNP_LOG_TRACE(component, ...) QOSNP_LOG_AT(::qosnp::LogLevel::kTrace, component, __VA_ARGS__)
+#define QOSNP_LOG_DEBUG(component, ...) QOSNP_LOG_AT(::qosnp::LogLevel::kDebug, component, __VA_ARGS__)
+#define QOSNP_LOG_INFO(component, ...) QOSNP_LOG_AT(::qosnp::LogLevel::kInfo, component, __VA_ARGS__)
+#define QOSNP_LOG_WARN(component, ...) QOSNP_LOG_AT(::qosnp::LogLevel::kWarn, component, __VA_ARGS__)
+#define QOSNP_LOG_ERROR(component, ...) QOSNP_LOG_AT(::qosnp::LogLevel::kError, component, __VA_ARGS__)
 
 }  // namespace qosnp

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace qosnp {
 namespace {
 
@@ -66,6 +72,34 @@ TEST(Topology, ShortestPathErrors) {
   auto self = t.shortest_path("a", "a");
   ASSERT_TRUE(self.ok());
   EXPECT_TRUE(self.value().empty());
+}
+
+TEST(Topology, EqualDelayTieBreakIsPinned) {
+  // Parallel equal-delay links: the one added first wins (relaxation is
+  // strict, and each node's links are scanned in insertion order).
+  Topology parallel;
+  parallel.add_node("a", NodeKind::kClient);
+  parallel.add_node("b", NodeKind::kServer);
+  const std::size_t first = parallel.add_link("a", "b", 1000, 2.0).value();
+  (void)parallel.add_link("a", "b", 1000, 2.0);
+  EXPECT_EQ(parallel.shortest_path("a", "b").value(), std::vector<std::size_t>{first});
+  EXPECT_EQ(parallel.shortest_path("b", "a").value(), std::vector<std::size_t>{first});
+
+  // Equal-delay two-hop paths: the intermediate node with the lower index
+  // is settled first and wins, even when its link was added second.
+  Topology diamond;
+  for (const char* n : {"s", "m1", "m2", "d"}) diamond.add_node(n, NodeKind::kSwitch);
+  (void)diamond.add_link("s", "m2", 1000, 1.0);
+  const std::size_t s_m1 = diamond.add_link("s", "m1", 1000, 1.0).value();
+  (void)diamond.add_link("m2", "d", 1000, 1.0);
+  const std::size_t m1_d = diamond.add_link("m1", "d", 1000, 1.0).value();
+  EXPECT_EQ(diamond.shortest_path("s", "d").value(), (std::vector<std::size_t>{s_m1, m1_d}));
+  EXPECT_EQ(diamond.shortest_path("d", "s").value(), (std::vector<std::size_t>{m1_d, s_m1}));
+
+  // A direct link ties with a two-hop detour: the direct link is relaxed
+  // from the source first and keeps the destination.
+  const std::size_t direct = diamond.add_link("s", "d", 1000, 2.0).value();
+  EXPECT_EQ(diamond.shortest_path("s", "d").value(), std::vector<std::size_t>{direct});
 }
 
 TEST(Topology, DumbbellShape) {
@@ -207,6 +241,134 @@ TEST(Transport, SingleBackboneStillRejectsWhenFull) {
   ASSERT_FALSE(second.ok());
   EXPECT_NE(second.error().message.find("insufficient bandwidth"), std::string::npos);
   EXPECT_TRUE(second.error().transient);
+}
+
+// A seeded random connected topology: a random tree over switches plus
+// extra switch links (parallel ones included), servers and clients hung
+// off random switches (some by two parallel access links), delays drawn
+// from {1, 2, 3} ms so equal-delay ties are common, and one client with no
+// links at all.
+struct RandomNet {
+  Topology topology;
+  std::vector<NodeId> servers;
+  std::vector<NodeId> clients;
+};
+
+RandomNet random_net(std::uint64_t seed, std::int64_t capacity_bps) {
+  Rng rng(seed);
+  RandomNet net;
+  Topology& t = net.topology;
+  auto delay = [&] { return static_cast<double>(rng.between(1, 3)); };
+  const int switches = static_cast<int>(rng.between(1, 6));
+  auto sw = [](std::uint64_t i) { return "sw-" + std::to_string(i); };
+  for (int i = 0; i < switches; ++i) {
+    t.add_node(sw(i), NodeKind::kSwitch);
+    if (i > 0) (void)t.add_link(sw(i), sw(rng.below(i)), capacity_bps, delay());
+  }
+  for (int k = static_cast<int>(rng.between(0, switches)); k > 0; --k) {
+    const auto a = rng.below(switches);
+    const auto b = rng.below(switches);
+    if (a == b) continue;
+    const double d = delay();
+    (void)t.add_link(sw(a), sw(b), capacity_bps, d);
+    if (rng.chance(0.5)) (void)t.add_link(sw(b), sw(a), capacity_bps, d);  // parallel twin
+  }
+  auto attach = [&](const NodeId& id, NodeKind kind) {
+    t.add_node(id, kind);
+    const NodeId at = sw(rng.below(switches));
+    const double d = delay();
+    (void)t.add_link(id, at, capacity_bps, d);
+    if (rng.chance(0.3)) (void)t.add_link(at, id, capacity_bps, d);
+  };
+  for (int i = static_cast<int>(rng.between(1, 3)); i > 0; --i) {
+    net.servers.push_back("server-" + std::to_string(i));
+    attach(net.servers.back(), NodeKind::kServer);
+  }
+  for (int i = static_cast<int>(rng.between(1, 4)); i > 0; --i) {
+    net.clients.push_back("client-" + std::to_string(i));
+    attach(net.clients.back(), NodeKind::kClient);
+  }
+  t.add_node("client-isolated", NodeKind::kClient);
+  return net;
+}
+
+TEST(TransportRouteTable, ReservedPathIsDijkstrasOnEveryCall) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomNet net = random_net(seed, 1'000'000'000'000);
+    TransportService transport(net.topology);
+    const Topology& t = transport.topology();
+    std::vector<FlowId> held;
+    for (int round = 0; round < 3; ++round) {  // first, then repeat reservations
+      for (const NodeId& server : net.servers) {
+        for (const NodeId& client : net.clients) {
+          auto f = transport.reserve(server, client, stream(1'000));
+          ASSERT_TRUE(f.ok()) << f.error();
+          EXPECT_EQ(transport.flow(f.value())->path, t.shortest_path(server, client).value());
+          held.push_back(f.value());
+        }
+        // Unknown and disconnected nodes are permanent refusals every time.
+        for (const NodeId& dst : {NodeId("client-isolated"), NodeId("ghost")}) {
+          auto refused = transport.reserve(server, dst, stream(1'000));
+          ASSERT_FALSE(refused.ok());
+          EXPECT_FALSE(refused.error().transient);
+          EXPECT_EQ(refused.error().message, t.shortest_path(server, dst).error());
+        }
+        EXPECT_FALSE(transport.reserve("ghost", net.clients[0], stream(1'000)).ok());
+      }
+    }
+    for (FlowId id : held) EXPECT_TRUE(transport.release(id));
+    EXPECT_EQ(transport.total_reserved_bps(), 0);
+    EXPECT_TRUE(transport.accounting_consistent());
+  }
+}
+
+TEST(TransportRouteTable, RetryRoutesAreNeverKept) {
+  // Degrading any link of a pair's preferred path forces a re-route around
+  // it (or a transient refusal when no other route exists); once restored,
+  // the pair must get its preferred path back. The first net is the
+  // dual-backbone dumbbell, whose standby backbone is the retry route.
+  constexpr std::int64_t kRate = 100'000'000;
+  std::vector<RandomNet> nets;
+  nets.push_back({Topology::dual_backbone(2, 2, 1'000'000'000, 1'000'000'000),
+                  {"server-node-0", "server-node-1"},
+                  {"client-0", "client-1"}});
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) nets.push_back(random_net(seed, 1'000'000'000));
+  std::size_t rerouted = 0;
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    SCOPED_TRACE("net " + std::to_string(n));
+    TransportService transport(nets[n].topology);
+    const Topology& t = transport.topology();
+    auto reserve_path = [&](const NodeId& server, const NodeId& client) {
+      auto f = transport.reserve(server, client, stream(kRate));
+      std::optional<std::vector<std::size_t>> path;
+      if (f.ok()) {
+        path = transport.flow(f.value())->path;
+        transport.release(f.value());
+      } else {
+        EXPECT_TRUE(f.error().transient) << f.error();
+      }
+      return path;
+    };
+    for (const NodeId& server : nets[n].servers) {
+      for (const NodeId& client : nets[n].clients) {
+        const auto preferred = t.shortest_path(server, client).value();
+        EXPECT_EQ(reserve_path(server, client), preferred);
+        for (std::size_t link : preferred) {
+          transport.degrade_link(link, 0.95);
+          if (const auto retry = reserve_path(server, client)) {
+            EXPECT_EQ(*retry, t.shortest_path(server, client, std::vector{link}).value());
+            ++rerouted;
+          }
+          transport.restore_link(link);
+          EXPECT_EQ(reserve_path(server, client), preferred);
+        }
+      }
+    }
+    EXPECT_EQ(transport.total_reserved_bps(), 0);
+    EXPECT_TRUE(transport.accounting_consistent());
+  }
+  EXPECT_GT(rerouted, 0u);
 }
 
 TEST(ScopedFlow, ReleasesOnDestruction) {

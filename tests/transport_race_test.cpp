@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -126,6 +127,70 @@ TEST(TransportRace, DoubleReleaseFromRacingThreadsIsCountedOnce) {
   }
   EXPECT_EQ(transport.total_reserved_bps(), 0);
   EXPECT_TRUE(transport.accounting_consistent());
+}
+
+TEST(TransportRace, ConcurrentFirstReservationsFillTheRouteTableConsistently) {
+  // Every worker walks all (server, client) pairs in its own order, so each
+  // pair's first reservation races with the others and the route table is
+  // filled under contention. The narrow primary backbone fills up, pushing
+  // later flows onto the standby (retry routes) or into refusals.
+  constexpr int kClients = 24;
+  constexpr int kServers = 6;
+  constexpr int kWorkers = 6;
+  constexpr std::int64_t kFlowBps = 10'000'000;
+  TransportService transport(
+      Topology::dual_backbone(kClients, kServers, 1'000'000'000, 40 * kFlowBps));
+  const Topology& topology = transport.topology();
+  struct Pair {
+    NodeId server;
+    NodeId client;
+  };
+  std::vector<Pair> pairs;
+  for (int s = 0; s < kServers; ++s) {
+    for (int c = 0; c < kClients; ++c) {
+      pairs.push_back({"server-node-" + std::to_string(s), "client-" + std::to_string(c)});
+    }
+  }
+
+  std::atomic<int> admitted{0};
+  auto worker = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::size_t> order(pairs.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+    std::vector<FlowId> held;
+    for (std::size_t i : order) {
+      auto flow = transport.reserve(pairs[i].server, pairs[i].client, guaranteed(kFlowBps));
+      if (!flow.ok()) {
+        EXPECT_TRUE(flow.error().transient) << flow.error();
+        continue;
+      }
+      ++admitted;
+      held.push_back(flow.value());
+      if (rng.chance(0.5)) {
+        EXPECT_TRUE(transport.release(held.back()));
+        held.pop_back();
+      }
+    }
+    for (FlowId id : held) EXPECT_TRUE(transport.release(id));
+  };
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) workers.emplace_back(worker, 500 + w);
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_GT(admitted.load(), 0);
+  EXPECT_EQ(transport.active_flows(), 0u);
+  EXPECT_EQ(transport.total_reserved_bps(), 0);
+  EXPECT_TRUE(transport.accounting_consistent());
+  // With the links empty again every pair takes its minimum-delay path: the
+  // table filled under contention holds no retry route.
+  for (const Pair& p : pairs) {
+    auto flow = transport.reserve(p.server, p.client, guaranteed(kFlowBps));
+    ASSERT_TRUE(flow.ok()) << flow.error();
+    EXPECT_EQ(transport.flow(flow.value())->path,
+              topology.shortest_path(p.server, p.client).value());
+    EXPECT_TRUE(transport.release(flow.value()));
+  }
 }
 
 }  // namespace
