@@ -19,7 +19,9 @@ class Fingerprint {
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>((v >> (i * 8)) & 0xff));
+    char bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (i * 8)) & 0xff);
+    out_.append(bytes, sizeof bytes);
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -90,50 +92,21 @@ std::string plan_config_digest(const EnumerationConfig& enumeration,
   return out;
 }
 
-std::string document_fingerprint(const MultimediaDocument& document) {
+std::string plan_cache_key(std::uint64_t catalog_uid, const DocumentId& document_id,
+                           const ClientMachine& client, const UserProfile& profile,
+                           const std::string& config_digest) {
   std::string out;
-  out.reserve(256 * document.monomedia.size());
+  out.reserve(1024);  // ~0.9 KB for a default-shaped profile
   Fingerprint fp(out);
-  fp.str(document.id);
-  fp.money(document.copyright_cost);
-  fp.u64(document.monomedia.size());
-  for (const Monomedia& m : document.monomedia) {
-    fp.str(m.id);
-    fp.u8(static_cast<std::uint8_t>(m.kind));
-    fp.f64(m.duration_s);
-    fp.u64(m.variants.size());
-    for (const Variant& v : m.variants) {
-      fp.str(v.id);
-      fp.u8(static_cast<std::uint8_t>(v.format));
-      fp.qos(v.qos);
-      fp.i64(v.avg_block_bytes);
-      fp.i64(v.max_block_bytes);
-      fp.f64(v.blocks_per_second);
-      fp.i64(v.file_bytes);
-      fp.str(v.server);
-    }
-  }
-  return out;
-}
-
-std::string plan_cache_key(const MultimediaDocument& document, const ClientMachine& client,
-                           const UserProfile& profile, const std::string& config_digest) {
-  return plan_cache_key(document_fingerprint(document), client, profile, config_digest);
-}
-
-std::string plan_cache_key(const std::string& document_fp, const ClientMachine& client,
-                           const UserProfile& profile, const std::string& config_digest) {
-  std::string out;
-  out.reserve(512 + document_fp.size());
-  Fingerprint fp(out);
-  fp.str("qosnp-plan-key-v1");
+  fp.str("qosnp-plan-key-v2");
   fp.str(config_digest);
 
-  // Document: id plus the full variant set — everything Steps 1-4 read.
-  // (The epoch check already guarantees an unchanged catalog entry; the
-  // content fingerprint keeps keys sound even across distinct catalogs
-  // sharing one cache.)
-  fp.str(document_fp);
+  // Document: the catalog entry's identity, not its content. Epochs are
+  // monotone within one catalog, so (catalog uid, id, epoch) names one
+  // immutable stored document; lookup() checks the epoch, and distinct
+  // catalogs sharing one cache never alias because their uids differ.
+  fp.u64(catalog_uid);
+  fp.str(document_id);
 
   // Client capabilities (Step 1 local check + Step 2 decoder filter; the
   // name appears in Step-2 error strings, so it is result-relevant too).

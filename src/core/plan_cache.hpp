@@ -3,7 +3,7 @@
 // computation, offer ordering) depend only on the document, the client
 // capabilities and the user profile — never on server or transport state —
 // so their outcome can be computed once and replayed for every later request
-// with the same (document, client, profile) fingerprint. Step 5 (resource
+// with the same (catalog entry, client, profile) key. Step 5 (resource
 // commitment) depends on live resources and always runs per request.
 //
 // A cached NegotiationPlan holds the Step 1-4 outcome: the terminal
@@ -72,8 +72,8 @@ struct PlanCacheStats {
   std::uint64_t stores = 0;
 };
 
-/// The cached Step 1-4 outcome for one (document, client, profile,
-/// manager-config) fingerprint. Immutable once stored; shared read-only by
+/// The cached Step 1-4 outcome for one (catalog entry, client, profile,
+/// manager-config) key. Immutable once stored; shared read-only by
 /// every replaying request.
 struct NegotiationPlan {
   std::shared_ptr<const MultimediaDocument> document;
@@ -167,22 +167,15 @@ std::string plan_config_digest(const EnumerationConfig& enumeration,
                                const ClassificationPolicy& policy,
                                std::size_t parallel_threshold, const CostModel& cost_model);
 
-/// Canonical fingerprint of a document's id and full variant set —
-/// everything Steps 1-4 read from it. Depends only on the (immutable)
-/// document, so QoSManager memoises it per catalog epoch instead of
-/// re-serialising hundreds of variants on every hot-document request.
-std::string document_fingerprint(const MultimediaDocument& document);
-
-/// Canonical cache key of one request: the document's id and full variant
-/// set, the client's capabilities, the user profile (MM + importance — the
-/// profile *name* is deliberately excluded: it does not influence any step)
-/// and the manager's config digest. Strings are length-prefixed and numbers
+/// Canonical cache key of one request: the catalog entry's identity
+/// (catalog uid + document id; the entry epoch is checked by lookup()), the
+/// client's capabilities, the user profile (MM + importance — the profile
+/// *name* is deliberately excluded: it does not influence any step) and the
+/// manager's config digest. Strings are length-prefixed and numbers
 /// fixed-width (doubles bit-cast), so distinct inputs produce distinct keys
-/// by construction.
-std::string plan_cache_key(const MultimediaDocument& document, const ClientMachine& client,
-                           const UserProfile& profile, const std::string& config_digest);
-/// Same key, from a precomputed document_fingerprint().
-std::string plan_cache_key(const std::string& document_fp, const ClientMachine& client,
-                           const UserProfile& profile, const std::string& config_digest);
+/// by construction; the key's length does not grow with the document.
+std::string plan_cache_key(std::uint64_t catalog_uid, const DocumentId& document_id,
+                           const ClientMachine& client, const UserProfile& profile,
+                           const std::string& config_digest);
 
 }  // namespace qosnp

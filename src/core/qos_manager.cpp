@@ -122,7 +122,8 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
   std::shared_ptr<const NegotiationPlan> plan;
   {
     ScopedSpan span(trace, Stage::kPlanCache);
-    key = plan_cache_key(document_fp(entry), request.client, request.profile, plan_digest_);
+    key = plan_cache_key(catalog_->uid(), request.document, request.client, request.profile,
+                         plan_digest_);
     if (request.cache != CacheUse::kRefresh) plan = cache->lookup(key, entry.epoch);
     span.annotate("hit", plan ? "true" : "false");
   }
@@ -133,16 +134,6 @@ NegotiationResult QoSManager::negotiate(const NegotiationRequest& request) {
     plan = std::move(fresh);
   }
   return run_plan(request, *plan, trace, /*exclusive=*/false);
-}
-
-std::string QoSManager::document_fp(const Catalog::Entry& entry) {
-  std::lock_guard lk(fp_mu_);
-  auto it = fp_memo_.find(entry.epoch);
-  if (it != fp_memo_.end()) return it->second;
-  // The memo stays tiny (one live epoch per cached document); a burst of
-  // catalog churn is the only way it grows, so just reset it then.
-  if (fp_memo_.size() >= 64) fp_memo_.clear();
-  return fp_memo_.emplace(entry.epoch, document_fingerprint(*entry.document)).first->second;
 }
 
 std::shared_ptr<NegotiationPlan> QoSManager::build_plan(

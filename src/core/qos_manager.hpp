@@ -15,11 +15,9 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "client/client_machine.hpp"
@@ -127,12 +125,6 @@ class QoSManager {
   NegotiationResult run_plan(const NegotiationRequest& request, const NegotiationPlan& plan,
                              TraceContext trace, bool exclusive);
 
-  /// The document part of the cache key, memoised per catalog epoch (an
-  /// epoch is catalog-wide monotone, so it identifies one immutable entry
-  /// content for the catalog's lifetime). Serialising a wide variant ladder
-  /// dominates key building; the memo keeps the hit path O(1) in variants.
-  std::string document_fp(const Catalog::Entry& entry);
-
   Catalog* catalog_;
   ServerProvider* farm_;
   TransportProvider* transport_;
@@ -141,8 +133,6 @@ class QoSManager {
   /// Fingerprint of the manager knobs entering plan_cache_key (computed
   /// once; the config is immutable after construction).
   std::string plan_digest_;
-  std::mutex fp_mu_;
-  std::unordered_map<std::uint64_t, std::string> fp_memo_;  ///< guarded by fp_mu_
 };
 
 /// The "local offer" presented with FAILEDWITHLOCALOFFER: the user's

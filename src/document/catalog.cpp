@@ -1,10 +1,17 @@
 #include "document/catalog.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <shared_mutex>
 
 namespace qosnp {
+
+namespace {
+std::atomic<std::uint64_t> next_catalog_uid{1};
+}  // namespace
+
+Catalog::Catalog() : uid_(next_catalog_uid.fetch_add(1, std::memory_order_relaxed)) {}
 
 std::vector<std::string> Catalog::add(MultimediaDocument doc) {
   std::vector<std::string> problems = validate(doc);

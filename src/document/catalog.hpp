@@ -30,10 +30,16 @@ class Catalog {
     std::uint64_t epoch = 0;
   };
 
-  Catalog() = default;
+  Catalog();
 
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
+
+  /// Process-unique identity, drawn from a static counter at construction
+  /// and never reused (unlike an address). Together with a document id and
+  /// an entry epoch it names exactly one stored document object — what the
+  /// plan cache keys on instead of the document's content.
+  std::uint64_t uid() const { return uid_; }
 
   /// Insert (or replace) a document. Returns the validation problem list;
   /// an invalid document is rejected and not stored. A successful insert
@@ -65,6 +71,7 @@ class Catalog {
   std::vector<VariantId> variants_on_server(const ServerId& server) const;
 
  private:
+  const std::uint64_t uid_;
   mutable std::shared_mutex mu_;
   std::unordered_map<DocumentId, Entry> docs_;
   std::uint64_t epoch_ = 0;

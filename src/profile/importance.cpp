@@ -63,18 +63,23 @@ bool ImportanceProfile::prefers_server(const std::string& server) const {
 }
 
 ImportanceProfile ImportanceProfile::defaults() {
-  ImportanceProfile p;
-  p.video_color = {2.0, 6.0, 9.0, 10.0};  // black&white, grey, colour, super-colour
-  p.frame_rate = PiecewiseLinear{{kFrozenFrameRate, 1.0}, {kTvFrameRate, 9.0},
-                                 {kHdtvFrameRate, 10.0}};
-  p.resolution = PiecewiseLinear{{kMinResolution, 1.0}, {kTvResolution, 9.0},
-                                 {kHdtvResolution, 10.0}};
-  p.audio_quality = {4.0, 7.0, 9.0};  // telephone, radio, CD
-  p.language = {5.0, 5.0, 5.0, 5.0};
-  p.image_color = p.video_color;
-  p.image_resolution = p.resolution;
-  p.cost_per_dollar = 4.0;
-  return p;
+  // Built once; every default-constructed UserProfile copies it, so the
+  // curves are not re-assembled anchor by anchor on each construction.
+  static const ImportanceProfile prototype = [] {
+    ImportanceProfile p;
+    p.video_color = {2.0, 6.0, 9.0, 10.0};  // black&white, grey, colour, super-colour
+    p.frame_rate = PiecewiseLinear{{kFrozenFrameRate, 1.0}, {kTvFrameRate, 9.0},
+                                   {kHdtvFrameRate, 10.0}};
+    p.resolution = PiecewiseLinear{{kMinResolution, 1.0}, {kTvResolution, 9.0},
+                                   {kHdtvResolution, 10.0}};
+    p.audio_quality = {4.0, 7.0, 9.0};  // telephone, radio, CD
+    p.language = {5.0, 5.0, 5.0, 5.0};
+    p.image_color = p.video_color;
+    p.image_resolution = p.resolution;
+    p.cost_per_dollar = 4.0;
+    return p;
+  }();
+  return prototype;
 }
 
 }  // namespace qosnp

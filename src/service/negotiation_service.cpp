@@ -153,10 +153,9 @@ void NegotiationService::count_response(const NegotiationResult& result) {
 
 void NegotiationService::submit_async(NegotiationRequest request, CompletionFn done) {
   requests_total_->inc();
-  Item item;
-  item.accepted_ms = clock_.elapsed_ms();
-  item.request = std::move(request);
-  item.done = std::move(done);
+  // Built from the moved request: a default-constructed Item would first
+  // build (and then discard) a default NegotiationRequest and its profile.
+  Item item{std::move(request), std::move(done), clock_.elapsed_ms(), nullptr, kNoSpan};
   if (config_.trace_sink != nullptr) {
     item.trace = std::make_shared<NegotiationTrace>(item.request.id);
     item.queue_span = item.trace->begin_span(Stage::kQueueWait);

@@ -1,8 +1,8 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78): the
-// frame trailer checksum of the wire protocol. Software table
-// implementation — the frame sizes involved (tens of bytes to ~1 MiB) make
-// a hardware SSE4.2 path a refinement, not a requirement, and the table
-// form is portable to every build the tree supports.
+// frame trailer checksum of the wire protocol. Portable software
+// slicing-by-8: eight constexpr-built 256-entry tables fold eight input
+// bytes per step (a byte-at-a-time tail finishes the rest). No CPU dispatch
+// and no SSE4.2 path, so every build the tree supports runs the same code.
 #pragma once
 
 #include <cstddef>

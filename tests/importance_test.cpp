@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <utility>
+#include <vector>
+
 namespace qosnp {
 namespace {
 
@@ -116,6 +120,31 @@ TEST(ImportanceProfile, DefaultsPreferBetterQuality) {
   EXPECT_LT(imp.frame_rate.at(kTvFrameRate), imp.frame_rate.at(kHdtvFrameRate));
   EXPECT_LT(imp.audio_quality[0], imp.audio_quality[2]);
   EXPECT_GT(imp.cost_per_dollar, 0.0);
+}
+
+TEST(ImportanceProfile, DefaultsEqualHandBuiltProfile) {
+  const std::vector<std::pair<double, double>> frame_rate{
+      {kFrozenFrameRate, 1.0}, {kTvFrameRate, 9.0}, {kHdtvFrameRate, 10.0}};
+  const std::vector<std::pair<double, double>> resolution{
+      {kMinResolution, 1.0}, {kTvResolution, 9.0}, {kHdtvResolution, 10.0}};
+  // Mutating one returned copy must not leak into later defaults().
+  ImportanceProfile scribbled = ImportanceProfile::defaults();
+  scribbled.video_color[0] = -1.0;
+  scribbled.frame_rate.set_anchor(30, 0.0);
+  scribbled.preferred_servers.push_back("x");
+
+  const ImportanceProfile imp = ImportanceProfile::defaults();
+  EXPECT_EQ(imp.video_color, (std::array<double, 4>{2.0, 6.0, 9.0, 10.0}));
+  EXPECT_EQ(imp.frame_rate.anchors(), frame_rate);
+  EXPECT_EQ(imp.resolution.anchors(), resolution);
+  EXPECT_EQ(imp.audio_quality, (std::array<double, 3>{4.0, 7.0, 9.0}));
+  EXPECT_EQ(imp.language, (std::array<double, 4>{5.0, 5.0, 5.0, 5.0}));
+  EXPECT_EQ(imp.image_color, imp.video_color);
+  EXPECT_EQ(imp.image_resolution.anchors(), resolution);
+  EXPECT_EQ(imp.media_weight, (std::array<double, 4>{1.0, 1.0, 1.0, 1.0}));
+  EXPECT_EQ(imp.cost_per_dollar, 4.0);
+  EXPECT_TRUE(imp.preferred_servers.empty());
+  EXPECT_EQ(imp.server_bonus, 0.0);
 }
 
 // Property sweep: interpolation is monotone between increasing anchors.

@@ -246,33 +246,150 @@ TEST(PlanCache, LruEvictsLeastRecentlyUsedWithinCapacity) {
 }
 
 TEST(PlanCache, KeyCoversInputsButNotProfileName) {
-  const auto doc = std::make_shared<const MultimediaDocument>(TestSystem::news_article());
   TestSystem sys;
+  Catalog other_catalog;
   const std::string digest =
       plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, 512, CostModel{});
 
   UserProfile profile = TestSystem::tolerant_profile();
-  const std::string base = plan_cache_key(*doc, sys.client, profile, digest);
+  const std::uint64_t uid = sys.catalog.uid();
+  const std::string base = plan_cache_key(uid, "article", sys.client, profile, digest);
 
   UserProfile renamed = profile;
   renamed.name = "completely-different-name";
-  EXPECT_EQ(plan_cache_key(*doc, sys.client, renamed, digest), base);
+  EXPECT_EQ(plan_cache_key(uid, "article", sys.client, renamed, digest), base);
 
   UserProfile cheaper = profile;
   cheaper.mm.cost.max_cost = Money::cents(1);
-  EXPECT_NE(plan_cache_key(*doc, sys.client, cheaper, digest), base);
+  EXPECT_NE(plan_cache_key(uid, "article", sys.client, cheaper, digest), base);
 
   ClientMachine smaller = sys.client;
   smaller.screen = ScreenSpec{640, 480, ColorDepth::kGray};
-  EXPECT_NE(plan_cache_key(*doc, smaller, profile, digest), base);
+  EXPECT_NE(plan_cache_key(uid, "article", smaller, profile, digest), base);
 
-  MultimediaDocument trimmed = *doc;
-  trimmed.monomedia.pop_back();
-  EXPECT_NE(plan_cache_key(trimmed, sys.client, profile, digest), base);
+  EXPECT_NE(plan_cache_key(uid, "article-2", sys.client, profile, digest), base);
+
+  EXPECT_NE(other_catalog.uid(), uid);
+  EXPECT_NE(plan_cache_key(other_catalog.uid(), "article", sys.client, profile, digest), base);
 
   const std::string other_digest =
       plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, 0, CostModel{});
-  EXPECT_NE(plan_cache_key(*doc, sys.client, profile, other_digest), base);
+  EXPECT_NE(plan_cache_key(uid, "article", sys.client, profile, other_digest), base);
+}
+
+TEST(PlanCache, CatalogsSharingOneCacheNeverAliasEqualIdsAtEqualEpochs) {
+  // Two catalogs hold different content under the same document id at the
+  // same epoch, and their managers share one cache. Keys carry the catalog
+  // uid, so neither manager may replay the other's plan: each must match its
+  // own uncached twin.
+  MultimediaDocument trimmed = TestSystem::news_article();
+  trimmed.monomedia.pop_back();
+  TestSystem full_sys, trimmed_sys, full_twin, trimmed_twin;
+  full_sys.catalog.add(TestSystem::news_article());
+  full_twin.catalog.add(TestSystem::news_article());
+  ASSERT_TRUE(trimmed_sys.catalog.add(MultimediaDocument{trimmed}).empty());
+  ASSERT_TRUE(trimmed_twin.catalog.add(MultimediaDocument{trimmed}).empty());
+  ASSERT_EQ(full_sys.catalog.epoch_of("article"), trimmed_sys.catalog.epoch_of("article"));
+
+  auto cache = std::make_shared<NegotiationPlanCache>();
+  const NegotiationConfig cached = cached_config(EnumerationStrategy::kBestFirst, cache);
+  const NegotiationConfig plain = cached_config(EnumerationStrategy::kBestFirst, nullptr);
+  QoSManager full(full_sys.catalog, full_sys.farm, *full_sys.transport, CostModel{}, cached);
+  QoSManager trimmed_mgr(trimmed_sys.catalog, trimmed_sys.farm, *trimmed_sys.transport,
+                         CostModel{}, cached);
+  QoSManager full_plain(full_twin.catalog, full_twin.farm, *full_twin.transport, CostModel{},
+                        plain);
+  QoSManager trimmed_plain(trimmed_twin.catalog, trimmed_twin.farm, *trimmed_twin.transport,
+                           CostModel{}, plain);
+
+  const UserProfile profile = TestSystem::tolerant_profile();
+  const auto request = [&](const TestSystem& sys) {
+    return make_negotiation_request(sys.client, "article", profile);
+  };
+  std::vector<NegotiationResult> keep;
+  for (int rep = 0; rep < 4; ++rep) {
+    NegotiationResult a = full.negotiate(request(full_sys));
+    NegotiationResult a_twin = full_plain.negotiate(request(full_twin));
+    NegotiationResult b = trimmed_mgr.negotiate(request(trimmed_sys));
+    NegotiationResult b_twin = trimmed_plain.negotiate(request(trimmed_twin));
+    EXPECT_EQ(result_signature(a), result_signature(a_twin)) << "rep " << rep;
+    EXPECT_EQ(result_signature(b), result_signature(b_twin)) << "rep " << rep;
+    // The two contents really negotiate differently, so aliasing would show.
+    EXPECT_NE(result_signature(a), result_signature(b)) << "rep " << rep;
+    for (NegotiationResult* r : {&a, &a_twin, &b, &b_twin}) keep.push_back(std::move(*r));
+  }
+  const PlanCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.lookups, 8u);
+  EXPECT_EQ(stats.misses, 2u);  // one plan per catalog, then replays
+  EXPECT_EQ(stats.hits, 6u);
+  EXPECT_EQ(stats.stale, 0u);
+  EXPECT_EQ(cache->size(), 2u);
+}
+
+TEST(PlanCache, EveryDocumentOfALargeCatalogHitsOnItsSecondRequest) {
+  // Far more documents than any per-epoch memo would hold: keys depend on
+  // the catalog entry alone, so every repeat is a hit.
+  TestSystem sys;
+  CorpusConfig corpus;
+  corpus.seed = 200;
+  corpus.num_documents = 200;
+  for (auto& doc : generate_corpus(corpus)) ASSERT_TRUE(sys.catalog.add(std::move(doc)).empty());
+  const std::vector<DocumentId> ids = sys.catalog.list();
+  ASSERT_GE(ids.size(), 200u);
+
+  auto cache = std::make_shared<NegotiationPlanCache>();
+  QoSManager manager(sys.catalog, sys.farm, *sys.transport, CostModel{},
+                     cached_config(EnumerationStrategy::kBestFirst, cache));
+  const UserProfile profile = TestSystem::tolerant_profile();
+  for (const DocumentId& id : ids) {
+    (void)manager.negotiate(make_negotiation_request(sys.client, id, profile));
+  }
+  const PlanCacheStats first = cache->stats();
+  EXPECT_EQ(first.misses, ids.size());
+  EXPECT_EQ(first.evictions, 0u);
+  for (const DocumentId& id : ids) {
+    (void)manager.negotiate(make_negotiation_request(sys.client, id, profile));
+  }
+  const PlanCacheStats second = cache->stats();
+  EXPECT_EQ(second.hits - first.hits, ids.size());
+  EXPECT_EQ(second.misses, first.misses);
+  EXPECT_EQ(second.lookups, second.hits + second.misses);
+}
+
+/// A one-video-monomedia document with `variants` distinct video variants.
+MultimediaDocument video_ladder(const DocumentId& id, int variants) {
+  MultimediaDocument doc;
+  doc.id = id;
+  doc.title = id;
+  Monomedia video;
+  video.id = id + "/video";
+  video.kind = MediaKind::kVideo;
+  video.duration_s = 60.0;
+  for (int i = 0; i < variants; ++i) {
+    const VideoQoS qos{static_cast<ColorDepth>(i / 16), 5 + 3 * (i % 16), kTvResolution};
+    video.variants.push_back(make_video_variant(id + "/v" + std::to_string(i), qos,
+                                                CodingFormat::kMPEG1, video.duration_s,
+                                                i % 2 == 0 ? "server-a" : "server-b"));
+  }
+  doc.monomedia.push_back(std::move(video));
+  return doc;
+}
+
+TEST(PlanCache, KeyLengthDoesNotGrowWithTheVariantLadder) {
+  TestSystem sys;
+  ASSERT_TRUE(sys.catalog.add(video_ladder("ladder-04", 4)).empty());
+  ASSERT_TRUE(sys.catalog.add(video_ladder("ladder-64", 64)).empty());
+  ASSERT_EQ(sys.catalog.find("ladder-64")->monomedia[0].variants.size(), 64u);
+  const std::string digest =
+      plan_config_digest(EnumerationConfig{}, ClassificationPolicy{}, 512, CostModel{});
+  const UserProfile profile = TestSystem::tolerant_profile();
+  const std::string narrow =
+      plan_cache_key(sys.catalog.uid(), "ladder-04", sys.client, profile, digest);
+  const std::string wide =
+      plan_cache_key(sys.catalog.uid(), "ladder-64", sys.client, profile, digest);
+  EXPECT_NE(narrow, wide);
+  EXPECT_EQ(narrow.size(), wide.size());
+  EXPECT_LT(wide.size(), 1024u);
 }
 
 TEST(PlanCache, ValidationSharesOnePathWithServiceConfig) {
